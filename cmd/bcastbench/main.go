@@ -290,6 +290,16 @@ func randomAllocation(db *core.Database, k, seed int) (*core.Allocation, error) 
 // differently at a pinned move budget, so the cost belongs next to the
 // timing), and returns ns/op.
 func benchCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (float64, error) {
+	res, err := recordCDS(rep, name, cds, a)
+	if err != nil {
+		return 0, err
+	}
+	return res.NsPerOp, nil
+}
+
+// recordCDS is benchCDS returning the recorded cell, for callers that
+// retag it.
+func recordCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (*benchResult, error) {
 	var benchErr error
 	br := testing.Benchmark(func(b *testing.B) {
 		var cost float64
@@ -305,10 +315,11 @@ func benchCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (floa
 		b.ReportMetric(cost, "cost")
 	})
 	if benchErr != nil {
-		return 0, benchErr
+		return nil, benchErr
 	}
-	tagCDS(rep.record(name, br), cds)
-	return float64(br.NsPerOp()), nil
+	res := rep.record(name, br)
+	tagCDS(res, cds)
+	return res, nil
 }
 
 // cdsScale runs the CDSScale grid and derives per-cell speedups.
@@ -330,18 +341,29 @@ func cdsScale(rep *report, quick bool, bt string) error {
 			if err != nil {
 				return err
 			}
-			perStrategy := make(map[core.CDSStrategy]float64, 2)
-			for _, strat := range []core.CDSStrategy{core.StrategyNaive, core.StrategyIncremental} {
-				cds := &core.CDS{Strategy: strat, MaxMoves: maxMoves}
-				ns, err := benchCDS(rep, fmt.Sprintf("CDSScale/N=%d/K=%d/%s", n, k, strat), cds, a)
+			// The default strategy runs the rescan at K ≤ 12, so the
+			// incremental column pins the candidate table through
+			// StrategyParallel with one worker, which is the serial
+			// table engine at every K. Each cell is tagged with the
+			// engine that ran, as its name says.
+			engines := []struct {
+				engine core.CDSStrategy
+				cds    *core.CDS
+			}{
+				{core.StrategyNaive, &core.CDS{Strategy: core.StrategyNaive, MaxMoves: maxMoves}},
+				{core.StrategyIncremental, &core.CDS{Strategy: core.StrategyParallel, Workers: 1, MaxMoves: maxMoves}},
+			}
+			var ns [2]float64
+			for i, eng := range engines {
+				res, err := recordCDS(rep, fmt.Sprintf("CDSScale/N=%d/K=%d/%s", n, k, eng.engine), eng.cds, a)
 				if err != nil {
 					return err
 				}
-				perStrategy[strat] = ns
+				tagCDS(res, &core.CDS{Strategy: eng.engine})
+				ns[i] = res.NsPerOp
 			}
-			if incr := perStrategy[core.StrategyIncremental]; incr > 0 {
-				rep.Derived[fmt.Sprintf("cds_speedup/N=%d/K=%d", n, k)] =
-					perStrategy[core.StrategyNaive] / incr
+			if ns[1] > 0 {
+				rep.Derived[fmt.Sprintf("cds_speedup/N=%d/K=%d", n, k)] = ns[0] / ns[1]
 			}
 		}
 	}

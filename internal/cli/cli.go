@@ -70,7 +70,7 @@ type CDSFlags struct {
 // Register installs the CDS engine flags on fs.
 func (f *CDSFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Strategy, "cds-strategy", core.StrategyIncremental.String(),
-		"CDS move-selection engine: incremental, naive or parallel")
+		"CDS move-selection engine: incremental (the rescan at K ≤ 12 channels, the candidate table above), naive or parallel")
 	fs.IntVar(&f.Workers, "cds-workers", 0,
 		"parallel CDS sweep workers (0 = GOMAXPROCS, 1 = serial; parallel strategy only)")
 	fs.IntVar(&f.Batch, "cds-batch", 0,

@@ -69,10 +69,47 @@ func BenchmarkCDSRefine(b *testing.B) {
 	}
 }
 
+// BenchmarkCDSCrossover is the evidence behind cdsScanMaxK: the naive
+// scan against the candidate tables (the serial table engine, which
+// StrategyParallel runs with one worker), each refining a DRP start to
+// its local optimum, across the channel counts where their costs
+// cross. Both engines apply bit-identical moves, so the ns/op ratio is
+// pure selection cost; the tables' one-time build is part of it, as it
+// is in every real refinement.
+func BenchmarkCDSCrossover(b *testing.B) {
+	for _, n := range []int{120, 1000} {
+		db := benchDB(b, n)
+		for _, k := range []int{6, 10, 12, 14, 16} {
+			start, err := NewDRP().Allocate(db, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, eng := range []struct {
+				name string
+				cds  *CDS
+			}{
+				{"scan", &CDS{Strategy: StrategyNaive}},
+				{"tables", &CDS{Strategy: StrategyParallel, Workers: 1}},
+			} {
+				b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, eng.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := eng.cds.Refine(start); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkCDSScale is the production-scale CDS grid (N up to 10k,
 // K up to 64) comparing the naive full rescan against the incremental
-// candidate table. Both strategies apply bit-identical moves (the
-// differential trace tests prove it), so the ns/op ratio is pure
+// candidate table. The table column runs StrategyParallel with one
+// worker, the serial table engine at every K, because the default
+// runs the rescan at K ≤ cdsScanMaxK. Both apply bit-identical moves
+// (the differential trace tests prove it), so the ns/op ratio is pure
 // selection-machinery cost. MaxMoves pins the number of applied moves
 // so every (N, K) cell measures the same amount of optimization work
 // regardless of where the local optimum lies; BENCH_*.json tracks the
@@ -90,9 +127,15 @@ func BenchmarkCDSScale(b *testing.B) {
 		db := benchDB(b, n)
 		for _, k := range []int{6, 16, 64} {
 			a := randomAllocation(b, db, k, 7)
-			for _, strat := range []CDSStrategy{StrategyNaive, StrategyIncremental} {
-				b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, strat), func(b *testing.B) {
-					cds := &CDS{Strategy: strat, MaxMoves: maxMoves}
+			for _, eng := range []struct {
+				name string
+				cds  *CDS
+			}{
+				{"naive", &CDS{Strategy: StrategyNaive, MaxMoves: maxMoves}},
+				{"incremental", &CDS{Strategy: StrategyParallel, Workers: 1, MaxMoves: maxMoves}},
+			} {
+				b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, eng.name), func(b *testing.B) {
+					cds := eng.cds
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						if _, err := cds.Refine(a); err != nil {

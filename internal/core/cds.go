@@ -45,9 +45,10 @@ type CDS struct {
 	// scaled to the problem (1e-12 × initial cost, floored at 1e-300).
 	Epsilon float64
 	// Strategy picks the move-selection engine. The zero value is
-	// StrategyIncremental: the differential trace tests pin every
-	// engine to identical output, so the fast serial one is the
-	// default.
+	// StrategyIncremental, which dispatches on the channel count: the
+	// full rescan at K ≤ 12, where it is the faster engine, and the
+	// candidate tables above. The differential trace tests pin every
+	// engine to identical output, so the dispatch never changes a move.
 	Strategy CDSStrategy
 	// Workers bounds the sweep worker pool of StrategyParallel: 0 uses
 	// GOMAXPROCS, 1 forces the serial path, larger values shard the
@@ -84,6 +85,19 @@ type CDS struct {
 	forceShard bool
 }
 
+// cdsScanMaxK is the largest channel count at which StrategyIncremental
+// runs the full rescan instead of the candidate tables. Both engines
+// apply bit-identical moves, so only their cost differs: from DRP
+// starts to the local optimum the tables cost 2.5–4.3× the scan at
+// K=4–6, 1.25–1.6× at K=10 and 1.0–1.3× at K=12, break even around
+// K=14–16 and win 2–6.5× at K=32–64, across N=60–5000. The crossover
+// follows K, not N·K: per applied move the scan evaluates N·(K−1)
+// candidates, while the tables pay a per-item merge of roughly
+// constant cost plus K-wide rescans of the two touched groups, and the
+// merge's branches only amortize once K is large.
+// BenchmarkCDSCrossover reproduces the measurement.
+const cdsScanMaxK = 12
+
 // CDSStrategy selects how CDS finds the best move each iteration.
 // All strategies produce move-for-move identical refinements (same
 // tie-break order, same floating-point bits); they differ only in
@@ -95,7 +109,8 @@ type CDSStrategy int
 const (
 	// StrategyIncremental (the default) maintains a per-item best-
 	// destination candidate table and recomputes only the entries a
-	// move can invalidate.
+	// move can invalidate. At K ≤ 12 channels, where the tables cost
+	// more than they save, it runs the naive rescan instead.
 	StrategyIncremental CDSStrategy = iota
 	// StrategyNaive rescans every (item, destination) pair per
 	// iteration — the paper's literal algorithm, kept as the oracle
@@ -231,10 +246,18 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 
 	var sel moveSelector
 	var tables *cdsTables
+	// engine is the selector that actually runs: the configured
+	// strategy, except where StrategyIncremental resolves to the scan.
+	engine := c.Strategy
 	switch c.Strategy {
 	case StrategyNaive:
 		sel = &naiveSelector{cur: cur, agg: agg}
 	case StrategyIncremental:
+		if len(agg) <= cdsScanMaxK {
+			engine = StrategyNaive
+			sel = &naiveSelector{cur: cur, agg: agg}
+			break
+		}
 		tables = acquireCDSTables(cur.db.Len(), len(agg))
 		sel = newIncrementalSelector(cur, agg, tables)
 	case StrategyParallel:
@@ -270,6 +293,7 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		strat := c.Strategy.String()
 		stratTag = trace.Str("strategy", strat)
 		span = tr.Start(spanCDSRefine, stratTag,
+			trace.Str("engine", engine.String()),
 			trace.Int("n", int64(cur.db.Len())), trace.Int("k", int64(cur.k)),
 			trace.Float("cost", cost))
 	}
@@ -378,6 +402,7 @@ type naiveSelector struct {
 	scans int64
 }
 
+//diverselint:hotpath per-selection full rescan, the default engine at K ≤ 12
 func (s *naiveSelector) next() (Move, bool) {
 	db := s.cur.Database()
 	k := s.cur.K()

@@ -43,11 +43,14 @@ func diverseDatabase(tb testing.TB, seed int, n int, theta, phi float64) *Databa
 }
 
 // strictEngines returns the strict steepest-descent engines pinned
-// bit-for-bit against the naive oracle: the incremental default plus
-// the parallel engine at worker counts 1, 2 and 8. Multi-worker
-// engines force-shard so these small workloads exercise the sharded
-// sweep, reduction and in-sweep recompute paths that real inputs only
-// hit at scale; Workers=1 exercises the serial delegation.
+// bit-for-bit against the naive oracle: the default plus the parallel
+// engine at worker counts 1, 2 and 8. The default runs the scan at
+// K ≤ cdsScanMaxK and the candidate tables above, so it checks the
+// dispatch at every K; Workers=1 delegates to the serial candidate
+// tables, so the table engine meets the oracle at every K too.
+// Multi-worker engines force-shard so these small workloads exercise
+// the sharded sweep, reduction and in-sweep recompute paths that real
+// inputs only hit at scale.
 func strictEngines(maxMoves int) []*CDS {
 	return []*CDS{
 		{Strategy: StrategyIncremental, MaxMoves: maxMoves},
@@ -402,6 +405,50 @@ func TestCDSBatchedUnderMaxMoves(t *testing.T) {
 	a := randomAllocation(t, db, 8, 3)
 	for _, maxMoves := range []int{1, 2, 3, 5, 17} {
 		assertBatchedContract(t, a, maxMoves, 3, 2)
+	}
+}
+
+// TestCDSDefaultEngineDispatch pins the default engine's choice by
+// K: the scan at K ≤ cdsScanMaxK and the candidate tables above,
+// told apart by the candidate-recompute counter only the tables
+// advance. Explicit strategies are honoured at every K (StrategyParallel
+// with one worker is the serial table engine), and every configuration
+// applies the oracle's moves.
+func TestCDSDefaultEngineDispatch(t *testing.T) {
+	db := diverseDatabase(t, 3, 200, 0.8, 2)
+	for _, k := range []int{2, 6, cdsScanMaxK, cdsScanMaxK + 1, 16, 32} {
+		a := randomAllocation(t, db, k, k)
+		_, want, err := (&CDS{Strategy: StrategyNaive}).RefineWithTrace(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name   string
+			cds    *CDS
+			tables bool
+		}{
+			{"default", &CDS{}, k > cdsScanMaxK},
+			{"naive", &CDS{Strategy: StrategyNaive}, false},
+			{"parallel", &CDS{Strategy: StrategyParallel, Workers: 1}, true},
+		}
+		for _, tc := range cases {
+			before := cdsCandidatesRecomputed.Value()
+			_, got, err := tc.cds.RefineWithTrace(a)
+			if err != nil {
+				t.Fatalf("K=%d %s: %v", k, tc.name, err)
+			}
+			if ranTables := cdsCandidatesRecomputed.Value() > before; ranTables != tc.tables {
+				t.Errorf("K=%d %s: ran tables = %v, want %v", k, tc.name, ranTables, tc.tables)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("K=%d %s: %d moves, oracle %d", k, tc.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("K=%d %s: move %d = %+v, oracle %+v", k, tc.name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -46,6 +46,15 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		})
 	})
 
+	t.Run("naiveSelector.next", func(t *testing.T) {
+		cur := base.Clone()
+		agg := cur.Aggregates()
+		sel := &naiveSelector{cur: cur, agg: agg}
+		alloctest.MustZeroAllocs(t, "naiveSelector.next", 2, func() {
+			sel.next()
+		})
+	})
+
 	t.Run("incrementalSelector", func(t *testing.T) {
 		cur := base.Clone()
 		agg := cur.Aggregates()

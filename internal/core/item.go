@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Item is a single broadcast data item. Freq is the item's access
@@ -129,27 +130,47 @@ func (db *Database) Normalized() *Database {
 // descending order, the order DRP consumes. Ties break by ascending
 // position so the order is deterministic.
 func (db *Database) ByBenefitRatio() []int {
-	idx := make([]int, len(db.items))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return db.items[idx[a]].BenefitRatio() > db.items[idx[b]].BenefitRatio()
-	})
-	return idx
+	return db.positionsByDesc(Item.BenefitRatio)
 }
 
 // ByFreq returns the item positions sorted by access frequency in
 // descending order, the order conventional (equal-size) allocators such
 // as VF^K consume. Ties break by ascending position.
 func (db *Database) ByFreq() []int {
-	idx := make([]int, len(db.items))
-	for i := range idx {
-		idx[i] = i
+	return db.positionsByDesc(func(it Item) float64 { return it.Freq })
+}
+
+// posKey pairs an item position with its precomputed sort key.
+type posKey struct {
+	key float64
+	pos int
+}
+
+// positionsByDesc returns the item positions sorted by key descending,
+// equal keys by ascending position: the order a stable sort under
+// "key(a) > key(b)" yields. Each key is computed once up front instead
+// of twice per comparison, and the explicit position tie-break lets an
+// unstable sort produce the stable order. Keys of validated items
+// (positive finite frequency and size) are never NaN, so the order is
+// total.
+func (db *Database) positionsByDesc(key func(Item) float64) []int {
+	keys := make([]posKey, len(db.items))
+	for i, it := range db.items {
+		keys[i] = posKey{key: key(it), pos: i}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return db.items[idx[a]].Freq > db.items[idx[b]].Freq
+	slices.SortFunc(keys, func(a, b posKey) int {
+		switch {
+		case a.key > b.key:
+			return -1
+		case a.key < b.key:
+			return 1
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	idx := make([]int, len(keys))
+	for i, k := range keys {
+		idx[i] = k.pos
+	}
 	return idx
 }
 

@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +117,43 @@ func TestByFreqOrder(t *testing.T) {
 	// The most popular paper item is d1.
 	if got := db.Item(order[0]).ID; got != 1 {
 		t.Fatalf("most frequent item = d%d, want d1", got)
+	}
+}
+
+// TestSortOrdersMatchStableReference pins ByBenefitRatio and ByFreq to
+// the stable sort they replace, on databases built with many equal
+// benefit ratios and frequencies so the position tie-break decides
+// most of the order.
+func TestSortOrdersMatchStableReference(t *testing.T) {
+	stableDesc := func(db *Database, key func(Item) float64) []int {
+		idx := make([]int, db.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool {
+			return key(db.Item(idx[a])) > key(db.Item(idx[b]))
+		})
+		return idx
+	}
+	for seed := 0; seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := 1 + rng.Intn(300)
+		items := make([]Item, n)
+		for i := range items {
+			// Few distinct values: scaling f and z together repeats the
+			// ratio f/z exactly, and frequencies repeat as well.
+			f := float64(1 + rng.Intn(4))
+			scale := float64(int(1) << rng.Intn(4))
+			items[i] = Item{ID: i, Freq: f * scale, Size: float64(1+rng.Intn(3)) * scale}
+		}
+		db := MustNewDatabase(items)
+		if got, want := db.ByBenefitRatio(), stableDesc(db, Item.BenefitRatio); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: ByBenefitRatio %v, stable reference %v", seed, got, want)
+		}
+		freq := func(it Item) float64 { return it.Freq }
+		if got, want := db.ByFreq(), stableDesc(db, freq); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: ByFreq %v, stable reference %v", seed, got, want)
+		}
 	}
 }
 

@@ -107,7 +107,8 @@ func TestDRPTraceSpansPinTable3Sequence(t *testing.T) {
 // TestCDSTraceSpansMirrorMoves checks the cds_move spans: one per
 // applied move, Eq. 4 delta and src/dst groups as attrs, tagged with
 // the strategy, parented to a single cds_refine root, all in the same
-// run as the DRP spans.
+// run as the DRP spans. The root also names the engine the default
+// strategy resolved to: the scan, at the example's K=5.
 func TestCDSTraceSpansMirrorMoves(t *testing.T) {
 	snap, _, moves := tracedPaperRun(t)
 
@@ -146,6 +147,12 @@ func TestCDSTraceSpansMirrorMoves(t *testing.T) {
 	}
 	if mvs, _ := roots[0].Attr("moves"); int(mvs.Int) != len(moves) {
 		t.Errorf("refine moves attr = %d, want %d", mvs.Int, len(moves))
+	}
+	if strat, _ := roots[0].Attr("strategy"); strat.Str != "incremental" {
+		t.Errorf("refine strategy attr = %+v, want the configured incremental", strat)
+	}
+	if eng, _ := roots[0].Attr("engine"); eng.Str != "naive" {
+		t.Errorf("refine engine attr = %+v, want naive at K=%d", eng, PaperExampleK)
 	}
 }
 
