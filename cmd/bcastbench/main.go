@@ -7,21 +7,19 @@
 // command produces one self-describing artifact:
 //
 //   - CDSScale: the production-scale CDS grid comparing the naive
-//     full rescan against the incremental candidate table (N up to
-//     10k, K up to 64), plus the derived naive/incremental speedups.
-//     Full runs add the large-N cells: N=10^5/K=256 comparing the
-//     incremental engine against StrategyParallel (sharded and
-//     batched), and an N=10^6/K=1024 parallel cell pinned to one
-//     iteration. Every CDS result carries the engine's strategy,
-//     worker count, batch size and the process GOMAXPROCS, so a
-//     single-core run is attributable as such: the sharded sweeps
-//     can only fold wall clock when GOMAXPROCS grants real cores.
-//   - CDSParallel: worker-scaling cells for StrategyParallel plus the
-//     bit-identity gate — the Workers=1 and Workers=8 refinements must
-//     produce identical move traces down to the float bits, and the
-//     batched mode must be worker-count-invariant the same way. A
-//     mismatch fails the run (nonzero exit), so CI enforces the
-//     determinism contract, not just the tests.
+//     full rescan against the default engine (N up to 10k, K up to
+//     64), plus the derived naive/default speedups. The default runs
+//     the rescan at K ≤ 12 and the candidate tables above, so its
+//     K=6 cells time the rescan; BenchmarkCDSScale in internal/core
+//     pins the tables at every K. Full runs add two large-N cells of
+//     the default engine: N=10^5/K=256, and N=10^6/K=1024 pinned to
+//     one iteration. Every CDS result carries the engine's strategy
+//     and the process GOMAXPROCS.
+//   - CDSGate: the bit-identity gate — StrategyNaive and the default
+//     engine (the candidate tables, at the gate's K > 12) must produce
+//     identical move traces down to the float bits. A mismatch fails
+//     the run (nonzero exit), so CI enforces the differential
+//     contract, not just the tests.
 //   - Tables2to4: the paper's worked example (DRP + CDS, cost 22.29).
 //   - Figure6/Figure7: the execution-time comparisons over K and N
 //     with GOPT pinned to Workers: 1 — timing figures measure
@@ -50,7 +48,7 @@
 //
 //	bcastbench -out BENCH_10.json
 //	bcastbench -quick -benchtime 1x            # CI: smallest honest signal
-//	bcastbench -quick -family cdsparallel      # CI: the bit-identity gate
+//	bcastbench -quick -family cdsgate          # CI: the bit-identity gate
 //	bcastbench -quick -family telemetry       # CI: the costmon overhead gate
 package main
 
@@ -74,10 +72,8 @@ import (
 
 // benchResult is one benchmark's measurements; Metrics carries the
 // custom b.ReportMetric values (cost, Wb_s). The CDS cells also record
-// the engine configuration and the process GOMAXPROCS so a reader can
-// tell a single-core artifact from a multi-core one without guessing:
-// a parallel cell measured at gomaxprocs=1 prices the engine's
-// bookkeeping, not its scaling.
+// the engine's strategy and the process GOMAXPROCS so a reader can
+// tell a single-core artifact from a multi-core one without guessing.
 type benchResult struct {
 	Name        string             `json:"name"`
 	Iterations  int                `json:"iterations"`
@@ -85,8 +81,6 @@ type benchResult struct {
 	BytesPerOp  int64              `json:"bytes_per_op"`
 	AllocsPerOp int64              `json:"allocs_per_op"`
 	Strategy    string             `json:"strategy,omitempty"`
-	Workers     int                `json:"workers,omitempty"`
-	BatchSize   int                `json:"batch_size,omitempty"`
 	GOMAXPROCS  int                `json:"gomaxprocs,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
@@ -128,15 +122,6 @@ func (r *report) record(name string, br testing.BenchmarkResult) *benchResult {
 	return &r.Results[len(r.Results)-1]
 }
 
-// tagCDS stamps a CDS cell's result with the engine configuration it
-// measured plus the process GOMAXPROCS.
-func tagCDS(res *benchResult, c *core.CDS) {
-	res.Strategy = c.Strategy.String()
-	res.Workers = c.Workers
-	res.BatchSize = c.BatchSize
-	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bcastbench:", err)
@@ -150,7 +135,7 @@ func run(args []string, out io.Writer) error {
 	outPath := fs.String("out", "BENCH_10.json", "report path ('-' for stdout)")
 	quick := fs.Bool("quick", false, "reduced grid: skip the large-N cells and the GOPT timing columns")
 	benchTime := fs.String("benchtime", "", "per-benchmark time or iteration budget (default 3x, 1x with -quick)")
-	family := fs.String("family", "", "run only one family: cds, cdsparallel, tables, figures, trace, fanout or telemetry (empty = all)")
+	family := fs.String("family", "", "run only one family: cds, cdsgate, tables, figures, trace, fanout or telemetry (empty = all)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -182,17 +167,17 @@ func run(args []string, out io.Writer) error {
 
 	want := func(name string) bool { return *family == "" || *family == name }
 	switch *family {
-	case "", "cds", "cdsparallel", "tables", "figures", "trace", "fanout", "telemetry":
+	case "", "cds", "cdsgate", "tables", "figures", "trace", "fanout", "telemetry":
 	default:
-		return fmt.Errorf("unknown family %q (want cds, cdsparallel, tables, figures, trace, fanout or telemetry)", *family)
+		return fmt.Errorf("unknown family %q (want cds, cdsgate, tables, figures, trace, fanout or telemetry)", *family)
 	}
 	if want("cds") {
 		if err := cdsScale(rep, *quick, bt); err != nil {
 			return err
 		}
 	}
-	if want("cdsparallel") {
-		if err := cdsParallel(rep, *quick); err != nil {
+	if want("cdsgate") {
+		if err := cdsGate(rep, *quick); err != nil {
 			return err
 		}
 	}
@@ -286,20 +271,8 @@ func randomAllocation(db *core.Database, k, seed int) (*core.Allocation, error) 
 
 // benchCDS benchmarks one configured engine refining a fixed start,
 // records the cell with its engine tags, reports the refined cost as a
-// metric (the strict and batched engines trade per-move quality
-// differently at a pinned move budget, so the cost belongs next to the
-// timing), and returns ns/op.
+// metric, and returns ns/op.
 func benchCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (float64, error) {
-	res, err := recordCDS(rep, name, cds, a)
-	if err != nil {
-		return 0, err
-	}
-	return res.NsPerOp, nil
-}
-
-// recordCDS is benchCDS returning the recorded cell, for callers that
-// retag it.
-func recordCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (*benchResult, error) {
 	var benchErr error
 	br := testing.Benchmark(func(b *testing.B) {
 		var cost float64
@@ -315,19 +288,20 @@ func recordCDS(rep *report, name string, cds *core.CDS, a *core.Allocation) (*be
 		b.ReportMetric(cost, "cost")
 	})
 	if benchErr != nil {
-		return nil, benchErr
+		return 0, benchErr
 	}
 	res := rep.record(name, br)
-	tagCDS(res, cds)
-	return res, nil
+	res.Strategy = cds.Strategy.String()
+	res.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	return res.NsPerOp, nil
 }
 
 // cdsScale runs the CDSScale grid and derives per-cell speedups.
 // MaxMoves pins the amount of optimization work per op exactly like
 // BenchmarkCDSScale (keep the constant in sync with bench_test.go).
-// Full runs append the large-N parallel cells; bt is the surrounding
-// -benchtime budget, restored after the N=10^6 cell pins itself to a
-// single iteration.
+// Full runs append the large-N cells; bt is the surrounding -benchtime
+// budget, restored after the N=10^6 cell pins itself to a single
+// iteration.
 func cdsScale(rep *report, quick bool, bt string) error {
 	const maxMoves = 200
 	sizes := []int{120, 1000, 10000}
@@ -341,26 +315,17 @@ func cdsScale(rep *report, quick bool, bt string) error {
 			if err != nil {
 				return err
 			}
-			// The default strategy runs the rescan at K ≤ 12, so the
-			// incremental column pins the candidate table through
-			// StrategyParallel with one worker, which is the serial
-			// table engine at every K. Each cell is tagged with the
-			// engine that ran, as its name says.
-			engines := []struct {
-				engine core.CDSStrategy
-				cds    *core.CDS
-			}{
-				{core.StrategyNaive, &core.CDS{Strategy: core.StrategyNaive, MaxMoves: maxMoves}},
-				{core.StrategyIncremental, &core.CDS{Strategy: core.StrategyParallel, Workers: 1, MaxMoves: maxMoves}},
-			}
+			// The incremental column is the default engine, which runs
+			// the rescan at K ≤ 12, so the K=6 ratio is about 1.
 			var ns [2]float64
-			for i, eng := range engines {
-				res, err := recordCDS(rep, fmt.Sprintf("CDSScale/N=%d/K=%d/%s", n, k, eng.engine), eng.cds, a)
+			for i, cds := range []*core.CDS{
+				{Strategy: core.StrategyNaive, MaxMoves: maxMoves},
+				{Strategy: core.StrategyIncremental, MaxMoves: maxMoves},
+			} {
+				ns[i], err = benchCDS(rep, fmt.Sprintf("CDSScale/N=%d/K=%d/%s", n, k, cds.Strategy), cds, a)
 				if err != nil {
 					return err
 				}
-				tagCDS(res, &core.CDS{Strategy: eng.engine})
-				ns[i] = res.NsPerOp
 			}
 			if ns[1] > 0 {
 				rep.Derived[fmt.Sprintf("cds_speedup/N=%d/K=%d", n, k)] = ns[0] / ns[1]
@@ -371,17 +336,11 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		return nil
 	}
 
-	// Large-N cells: the sizes the parallel engine exists for. The naive
-	// engine is excluded (an O(N·K) sweep per selection is hours here);
-	// the incremental engine is the baseline. MaxMoves=1000 keeps a cell
-	// in whole seconds while amortizing the one-time table build enough
-	// that the per-move machinery dominates. The derived speedups divide
-	// the baseline by the sharded engine (strict descent, identical
-	// moves) and by the batched engine (relaxed descent, same-cost
-	// guarantee per move only) — read them against this result's
-	// gomaxprocs tag: with one core the sharded ratio prices pure
-	// engine bookkeeping, and only the batched ratio (fewer table
-	// repairs per move, a per-core-independent saving) can exceed 1.
+	// Large-N cells, the default engine only: the naive engine is
+	// excluded (an O(N·K) sweep per selection is hours here).
+	// MaxMoves=1000 keeps the N=10^5 cell in whole seconds while
+	// amortizing the one-time table build enough that the per-move
+	// machinery dominates.
 	{
 		const bigN, bigK, bigMoves = 100000, 256, 1000
 		db := workload.Config{N: bigN, Theta: 0.8, Phi: 2, Seed: 1}.MustGenerate()
@@ -389,28 +348,9 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		base := fmt.Sprintf("CDSScale/N=%d/K=%d/", bigN, bigK)
-		incr, err := benchCDS(rep, base+"incremental",
-			&core.CDS{Strategy: core.StrategyIncremental, MaxMoves: bigMoves}, a)
-		if err != nil {
+		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental", bigN, bigK)
+		if _, err := benchCDS(rep, name, &core.CDS{MaxMoves: bigMoves}, a); err != nil {
 			return err
-		}
-		par, err := benchCDS(rep, base+"parallel/W=8",
-			&core.CDS{Strategy: core.StrategyParallel, Workers: 8, MaxMoves: bigMoves}, a)
-		if err != nil {
-			return err
-		}
-		bat, err := benchCDS(rep, base+"parallel/W=8/B=64",
-			&core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: 64, MaxMoves: bigMoves}, a)
-		if err != nil {
-			return err
-		}
-		cell := fmt.Sprintf("/N=%d/K=%d", bigN, bigK)
-		if par > 0 {
-			rep.Derived["cds_parallel_speedup"+cell] = incr / par
-		}
-		if bat > 0 {
-			rep.Derived["cds_batched_speedup"+cell] = incr / bat
 		}
 	}
 
@@ -429,9 +369,8 @@ func cdsScale(rep *report, quick bool, bt string) error {
 		if err != nil {
 			return err
 		}
-		name := fmt.Sprintf("CDSScale/N=%d/K=%d/parallel/W=8/B=64", hugeN, hugeK)
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: 64, MaxMoves: hugeMoves}
-		if _, err := benchCDS(rep, name, cds, a); err != nil {
+		name := fmt.Sprintf("CDSScale/N=%d/K=%d/incremental", hugeN, hugeK)
+		if _, err := benchCDS(rep, name, &core.CDS{MaxMoves: hugeMoves}, a); err != nil {
 			return err
 		}
 	}
@@ -439,15 +378,15 @@ func cdsScale(rep *report, quick bool, bt string) error {
 }
 
 // sameMoves reports whether two move traces are bit-for-bit identical:
-// same length, and every move agrees on position, groups, batch
-// ordinal and the exact float bits of its Δc and cost chain.
+// same length, and every move agrees on position, groups and the exact
+// float bits of its Δc and cost chain.
 func sameMoves(a, b []core.Move) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Pos != y.Pos || x.From != y.From || x.To != y.To || x.Batch != y.Batch ||
+		if x.Pos != y.Pos || x.From != y.From || x.To != y.To ||
 			math.Float64bits(x.Reduction) != math.Float64bits(y.Reduction) ||
 			math.Float64bits(x.CostBefore) != math.Float64bits(y.CostBefore) ||
 			math.Float64bits(x.CostAfter) != math.Float64bits(y.CostAfter) {
@@ -457,16 +396,15 @@ func sameMoves(a, b []core.Move) bool {
 	return true
 }
 
-// cdsParallel runs the worker-scaling cells and the bit-identity gate.
-// The gate is the determinism contract enforced where CI can see it:
-// the same refinement at Workers=1 and Workers=8 must produce
-// bit-for-bit identical move traces (strict mode), and the batched
-// mode must be worker-count-invariant the same way. Any divergence
-// returns an error before the report gates, failing the run. The gate
-// needs no multi-core host — sharding is by index, so a single core
-// exercises the same shard boundaries and reduction order.
-func cdsParallel(rep *report, quick bool) error {
-	n, k, maxMoves, batch := 20000, 64, 200, 32
+// cdsGate is the bit-identity gate: the same refinement under
+// StrategyNaive (the paper's literal scan) and under the default
+// engine must produce bit-for-bit identical move traces. At the gate's
+// K (32 quick, 64 full) the default runs the candidate tables, so the
+// gate pins the table engine to the oracle where CI can see it. A
+// divergence returns an error before the report gates, failing the
+// run.
+func cdsGate(rep *report, quick bool) error {
+	n, k, maxMoves := 20000, 64, 200
 	if quick {
 		n, k, maxMoves = 6000, 32, 60
 	}
@@ -475,77 +413,18 @@ func cdsParallel(rep *report, quick bool) error {
 	if err != nil {
 		return err
 	}
-
-	// Bit-identity gate, strict mode. Workers=1 delegates to the serial
-	// incremental selector, so this also pins parallel == incremental.
-	w1 := &core.CDS{Strategy: core.StrategyParallel, Workers: 1, MaxMoves: maxMoves}
-	w8 := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, MaxMoves: maxMoves}
-	_, t1, err := w1.RefineWithTrace(a)
+	_, naive, err := (&core.CDS{Strategy: core.StrategyNaive, MaxMoves: maxMoves}).RefineWithTrace(a)
 	if err != nil {
 		return err
 	}
-	_, t8, err := w8.RefineWithTrace(a)
+	_, def, err := (&core.CDS{MaxMoves: maxMoves}).RefineWithTrace(a)
 	if err != nil {
 		return err
 	}
-	if !sameMoves(t1, t8) {
-		return fmt.Errorf("bit-identity gate: strict parallel traces diverge between Workers=1 and Workers=8 (N=%d K=%d, %d vs %d moves)", n, k, len(t1), len(t8))
+	if !sameMoves(naive, def) {
+		return fmt.Errorf("bit-identity gate: default-engine trace diverges from StrategyNaive (N=%d K=%d, %d vs %d moves)", n, k, len(def), len(naive))
 	}
-	rep.Derived["cds_parallel_bit_identity_moves"] = float64(len(t1))
-
-	// Bit-identity gate, batched mode: the descent path may differ from
-	// strict, but it must not depend on the worker count.
-	b1 := &core.CDS{Strategy: core.StrategyParallel, Workers: 1, BatchSize: batch, MaxMoves: maxMoves}
-	b8 := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: batch, MaxMoves: maxMoves}
-	_, tb1, err := b1.RefineWithTrace(a)
-	if err != nil {
-		return err
-	}
-	_, tb8, err := b8.RefineWithTrace(a)
-	if err != nil {
-		return err
-	}
-	if !sameMoves(tb1, tb8) {
-		return fmt.Errorf("bit-identity gate: batched traces diverge between Workers=1 and Workers=8 (N=%d K=%d B=%d, %d vs %d moves)", n, k, batch, len(tb1), len(tb8))
-	}
-	rep.Derived["cds_batched_bit_identity_moves"] = float64(len(tb1))
-
-	// Timing cells: the incremental baseline against the parallel
-	// engine at increasing worker counts, then the batched mode. Quick
-	// runs keep one cell per engine mode at two worker counts — enough
-	// for CI to notice a regression sign, not to measure scaling.
-	workers := []int{1, 2, 4, 8}
-	batches := []int{8, 32}
-	if quick {
-		workers = []int{1, 8}
-		batches = []int{batch}
-	}
-	base := fmt.Sprintf("CDSParallel/N=%d/K=%d/", n, k)
-	incr, err := benchCDS(rep, base+"incremental",
-		&core.CDS{Strategy: core.StrategyIncremental, MaxMoves: maxMoves}, a)
-	if err != nil {
-		return err
-	}
-	for _, w := range workers {
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: w, MaxMoves: maxMoves}
-		ns, err := benchCDS(rep, fmt.Sprintf("%sW=%d", base, w), cds, a)
-		if err != nil {
-			return err
-		}
-		if ns > 0 {
-			rep.Derived[fmt.Sprintf("cds_parallel_speedup_w%d/N=%d/K=%d", w, n, k)] = incr / ns
-		}
-	}
-	for _, bsz := range batches {
-		cds := &core.CDS{Strategy: core.StrategyParallel, Workers: 8, BatchSize: bsz, MaxMoves: maxMoves}
-		ns, err := benchCDS(rep, fmt.Sprintf("%sW=8/B=%d", base, bsz), cds, a)
-		if err != nil {
-			return err
-		}
-		if ns > 0 {
-			rep.Derived[fmt.Sprintf("cds_batched_speedup_b%d/N=%d/K=%d", bsz, n, k)] = incr / ns
-		}
-	}
+	rep.Derived["cds_gate_bit_identity_moves"] = float64(len(naive))
 	return nil
 }
 

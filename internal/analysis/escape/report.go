@@ -8,8 +8,8 @@ import (
 
 // ShortName compresses a call-graph node name for diagnostics by
 // dropping the directory part of every package path:
-// "(*diversecast/internal/core.batchedSelector).repair" becomes
-// "(*core.batchedSelector).repair". Corpus packages with bare import
+// "(*diversecast/internal/core.incrementalSelector).applied" becomes
+// "(*core.incrementalSelector).applied". Corpus packages with bare import
 // paths pass through unchanged.
 func ShortName(name string) string {
 	var b strings.Builder

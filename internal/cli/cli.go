@@ -59,39 +59,25 @@ func (f *DBFlags) Load() (*core.Database, map[int]string, error) {
 }
 
 // CDSFlags selects the CDS move-selection engine for the drp-cds/cds
-// algorithms: strategy name, worker-pool width, and batch size (see
-// core.CDS for the semantics of each).
+// algorithms by strategy name (see core.CDSStrategy).
 type CDSFlags struct {
 	Strategy string
-	Workers  int
-	Batch    int
 }
 
 // Register installs the CDS engine flags on fs.
 func (f *CDSFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Strategy, "cds-strategy", core.StrategyIncremental.String(),
-		"CDS move-selection engine: incremental (the rescan at K ≤ 12 channels, the candidate table above), naive or parallel")
-	fs.IntVar(&f.Workers, "cds-workers", 0,
-		"parallel CDS sweep workers (0 = GOMAXPROCS, 1 = serial; parallel strategy only)")
-	fs.IntVar(&f.Batch, "cds-batch", 0,
-		"apply up to this many non-conflicting moves per sweep (parallel strategy only; <2 keeps strict steepest descent)")
+		"CDS move-selection engine: incremental (the rescan at K ≤ 12 channels, the candidate table above) or naive (the paper's literal rescan at every K)")
 }
 
 // Refiner resolves the flags into a CDS refiner, rejecting unknown
-// strategy names and flag combinations core would refuse at Refine
-// time (so the error surfaces before any work is done).
+// strategy names before any work is done.
 func (f *CDSFlags) Refiner() (*core.CDS, error) {
 	strat, err := core.ParseCDSStrategy(f.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	if f.Workers < 0 {
-		return nil, fmt.Errorf("-cds-workers must be >= 0, got %d", f.Workers)
-	}
-	if f.Batch > 1 && strat != core.StrategyParallel {
-		return nil, fmt.Errorf("-cds-batch %d requires -cds-strategy parallel, got %q", f.Batch, f.Strategy)
-	}
-	return &core.CDS{Strategy: strat, Workers: f.Workers, BatchSize: f.Batch}, nil
+	return &core.CDS{Strategy: strat}, nil
 }
 
 // AlgorithmNames lists the allocators NewAllocator accepts.

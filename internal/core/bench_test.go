@@ -69,10 +69,19 @@ func BenchmarkCDSRefine(b *testing.B) {
 	}
 }
 
+// tablesRefine is c's Refine with the candidate tables pinned through
+// the descend seam, so they run at every K — including K ≤ cdsScanMaxK,
+// where the default dispatches to the scan.
+func tablesRefine(c *CDS) func(*Allocation) (*Allocation, error) {
+	return func(a *Allocation) (*Allocation, error) {
+		out, _, err := c.descend(a, true, false)
+		return out, err
+	}
+}
+
 // BenchmarkCDSCrossover is the evidence behind cdsScanMaxK: the naive
-// scan against the candidate tables (the serial table engine, which
-// StrategyParallel runs with one worker), each refining a DRP start to
-// its local optimum, across the channel counts where their costs
+// scan against the candidate tables (pinned through the descend seam),
+// each refining a DRP start to its local optimum, across the channel counts where their costs
 // cross. Both engines apply bit-identical moves, so the ns/op ratio is
 // pure selection cost; the tables' one-time build is part of it, as it
 // is in every real refinement.
@@ -85,16 +94,16 @@ func BenchmarkCDSCrossover(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, eng := range []struct {
-				name string
-				cds  *CDS
+				name   string
+				refine func(*Allocation) (*Allocation, error)
 			}{
-				{"scan", &CDS{Strategy: StrategyNaive}},
-				{"tables", &CDS{Strategy: StrategyParallel, Workers: 1}},
+				{"scan", (&CDS{Strategy: StrategyNaive}).Refine},
+				{"tables", tablesRefine(&CDS{})},
 			} {
 				b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, eng.name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := eng.cds.Refine(start); err != nil {
+						if _, err := eng.refine(start); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -106,9 +115,9 @@ func BenchmarkCDSCrossover(b *testing.B) {
 
 // BenchmarkCDSScale is the production-scale CDS grid (N up to 10k,
 // K up to 64) comparing the naive full rescan against the incremental
-// candidate table. The table column runs StrategyParallel with one
-// worker, the serial table engine at every K, because the default
-// runs the rescan at K ≤ cdsScanMaxK. Both apply bit-identical moves
+// candidate table. The table column pins the tables through the
+// descend seam, so they run at every K, because the default runs the
+// rescan at K ≤ cdsScanMaxK. Both apply bit-identical moves
 // (the differential trace tests prove it), so the ns/op ratio is pure
 // selection-machinery cost. MaxMoves pins the number of applied moves
 // so every (N, K) cell measures the same amount of optimization work
@@ -128,61 +137,22 @@ func BenchmarkCDSScale(b *testing.B) {
 		for _, k := range []int{6, 16, 64} {
 			a := randomAllocation(b, db, k, 7)
 			for _, eng := range []struct {
-				name string
-				cds  *CDS
+				name   string
+				refine func(*Allocation) (*Allocation, error)
 			}{
-				{"naive", &CDS{Strategy: StrategyNaive, MaxMoves: maxMoves}},
-				{"incremental", &CDS{Strategy: StrategyParallel, Workers: 1, MaxMoves: maxMoves}},
+				{"naive", (&CDS{Strategy: StrategyNaive, MaxMoves: maxMoves}).Refine},
+				{"incremental", tablesRefine(&CDS{MaxMoves: maxMoves})},
 			} {
 				b.Run(fmt.Sprintf("N=%d/K=%d/%s", n, k, eng.name), func(b *testing.B) {
-					cds := eng.cds
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						if _, err := cds.Refine(a); err != nil {
+						if _, err := eng.refine(a); err != nil {
 							b.Fatal(err)
 						}
 					}
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkCDSParallel sweeps the parallel engine's worker count and
-// batch size at a size where sharding engages (N above the serial
-// fallback threshold). Workers=1 delegates to the serial incremental
-// path, so the W=1 cell doubles as the apples-to-apples baseline; the
-// batched cells measure the algorithmic (per-core-independent) win of
-// repairing the tables once per batch. -short skips the family.
-func BenchmarkCDSParallel(b *testing.B) {
-	if testing.Short() {
-		b.Skip("parallel scaling cells need N above the shard threshold")
-	}
-	const maxMoves = 200
-	n, k := 20000, 64
-	db := benchDB(b, n)
-	a := randomAllocation(b, db, k, 7)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/W=%d", n, k, workers), func(b *testing.B) {
-			cds := &CDS{Strategy: StrategyParallel, Workers: workers, MaxMoves: maxMoves}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cds.Refine(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, batch := range []int{8, 32} {
-		b.Run(fmt.Sprintf("N=%d/K=%d/W=8/B=%d", n, k, batch), func(b *testing.B) {
-			cds := &CDS{Strategy: StrategyParallel, Workers: 8, BatchSize: batch, MaxMoves: maxMoves}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cds.Refine(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"diversecast/internal/obs/trace"
@@ -47,29 +46,9 @@ type CDS struct {
 	// Strategy picks the move-selection engine. The zero value is
 	// StrategyIncremental, which dispatches on the channel count: the
 	// full rescan at K ≤ 12, where it is the faster engine, and the
-	// candidate tables above. The differential trace tests pin every
-	// engine to identical output, so the dispatch never changes a move.
+	// candidate tables above. The differential trace tests pin both
+	// engines to identical output, so the dispatch never changes a move.
 	Strategy CDSStrategy
-	// Workers bounds the sweep worker pool of StrategyParallel: 0 uses
-	// GOMAXPROCS, 1 forces the serial path, larger values shard the
-	// candidate sweeps across that many goroutines. The selected moves
-	// are bit-for-bit identical at any width — sharding only changes
-	// who evaluates which item, never the arithmetic or the canonical
-	// reduction order. Negative is an error; ignored by the other
-	// strategies.
-	Workers int
-	// BatchSize > 1 enables the batched mode of StrategyParallel: up
-	// to BatchSize non-conflicting moves — pairwise disjoint
-	// {source, destination} group pairs — are selected per sweep and
-	// applied back to back before the candidate tables are repaired
-	// once. Disjoint moves commute under the Eq. 4 delta algebra, so
-	// each batched move's Δc is exactly the value Eq. 4 assigns at its
-	// application state; the mode relaxes strict steepest descent only
-	// in that moves after the first in a batch are per-group champions
-	// rather than global ones. 0 or 1 keeps strict steepest descent.
-	// Values > 1 with a strategy other than StrategyParallel are an
-	// error.
-	BatchSize int
 
 	// Tracer receives one cds_refine span per call with a cds_move
 	// child per applied move (item, src/dst groups, the Eq. 4 Δc,
@@ -77,12 +56,6 @@ type CDS struct {
 	// which starts disabled, so the zero value stays probe-free until
 	// a daemon enables tracing.
 	Tracer *trace.Tracer
-
-	// forceShard (tests only) makes StrategyParallel shard every
-	// sweep regardless of the size thresholds, so the small
-	// differential workloads exercise the sharded paths that real
-	// inputs only hit at scale.
-	forceShard bool
 }
 
 // cdsScanMaxK is the largest channel count at which StrategyIncremental
@@ -99,11 +72,9 @@ type CDS struct {
 const cdsScanMaxK = 12
 
 // CDSStrategy selects how CDS finds the best move each iteration.
-// All strategies produce move-for-move identical refinements (same
+// Both strategies produce move-for-move identical refinements (same
 // tie-break order, same floating-point bits); they differ only in
-// work per iteration. The one documented exception is the batched
-// mode of StrategyParallel (CDS.BatchSize > 1), which relaxes strict
-// steepest descent as described on CDS.BatchSize.
+// work per iteration.
 type CDSStrategy int
 
 const (
@@ -116,32 +87,22 @@ const (
 	// iteration — the paper's literal algorithm, kept as the oracle
 	// for differential tests and benchmarks.
 	StrategyNaive
-	// StrategyParallel is StrategyIncremental with the per-move
-	// candidate sweeps sharded across a bounded by-index worker pool
-	// (CDS.Workers wide) in a fixed reduction order, so the selected
-	// move is bit-for-bit identical to the serial engines at any
-	// worker count. CDS.BatchSize > 1 additionally applies batches of
-	// non-conflicting moves per sweep.
-	StrategyParallel
 )
 
-// String returns the strategy name ("incremental", "naive" or
-// "parallel").
+// String returns the strategy name ("incremental" or "naive").
 func (s CDSStrategy) String() string {
 	switch s {
 	case StrategyIncremental:
 		return "incremental"
 	case StrategyNaive:
 		return "naive"
-	case StrategyParallel:
-		return "parallel"
 	default:
 		return fmt.Sprintf("CDSStrategy(%d)", int(s))
 	}
 }
 
 // ParseCDSStrategy maps a strategy name back to its value — the exact
-// inverse of String over the three engines — for flag and config
+// inverse of String over the two engines — for flag and config
 // plumbing.
 func ParseCDSStrategy(name string) (CDSStrategy, error) {
 	switch name {
@@ -149,10 +110,8 @@ func ParseCDSStrategy(name string) (CDSStrategy, error) {
 		return StrategyIncremental, nil
 	case "naive":
 		return StrategyNaive, nil
-	case "parallel":
-		return StrategyParallel, nil
 	default:
-		return 0, fmt.Errorf("core: unknown CDS strategy %q (want incremental, naive or parallel)", name)
+		return 0, fmt.Errorf("core: unknown CDS strategy %q (want incremental or naive)", name)
 	}
 }
 
@@ -171,12 +130,6 @@ type Move struct {
 	Reduction  float64 // the Δc of Eq. (4), exact at the application state
 	CostBefore float64
 	CostAfter  float64
-	// Batch numbers the sweep batch this move was applied in by the
-	// batched mode of StrategyParallel (1-based, in application
-	// order); 0 for the strict steepest-descent engines, which apply
-	// exactly one move per sweep. The batch-replay tests use it to
-	// verify the disjointness and commutation contract.
-	Batch int
 }
 
 // Refine implements Refiner. The input allocation is not mutated.
@@ -208,23 +161,35 @@ type moveSelector interface {
 
 // selStats aggregates the per-refinement selector counters.
 type selStats struct {
-	// scans counts selection sweeps (one per applied move for the
-	// strict engines, one per assembled batch for the batched mode).
+	// scans counts selection sweeps (one per applied move).
 	scans int64
 	// recomputed counts full per-item candidate recomputations.
 	recomputed int64
-	// parallelSweeps counts candidate sweeps that were actually
-	// sharded across the worker pool (small sweeps fall back to the
-	// serial path and are not counted).
-	parallelSweeps int64
-	// batchedMoves counts moves applied by the batched mode.
-	batchedMoves int64
 }
 
+// refine validates a and resolves the configured strategy to a
+// selector: the rescan for StrategyNaive and for StrategyIncremental
+// at K ≤ cdsScanMaxK, the candidate tables otherwise.
 func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error) {
 	if err := a.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: CDS input: %w", err)
 	}
+	switch c.Strategy {
+	case StrategyNaive:
+		return c.descend(a, false, wantTrace)
+	case StrategyIncremental:
+		return c.descend(a, a.K() > cdsScanMaxK, wantTrace)
+	default:
+		return nil, nil, fmt.Errorf("core: CDS: unknown strategy %v", c.Strategy)
+	}
+}
+
+// descend runs the steepest descent from a valid allocation with the
+// selector already chosen: the candidate tables when tables is set,
+// the full rescan otherwise. refine picks tables from the strategy and
+// K; the differential tests and benchmarks call descend directly to
+// run the tables at K ≤ cdsScanMaxK too.
+func (c *CDS) descend(a *Allocation, tables, wantTrace bool) (*Allocation, []Move, error) {
 	cur := a.Clone()
 	agg := cur.Aggregates()
 
@@ -237,45 +202,18 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		}
 	}
 
-	if c.Workers < 0 {
-		return nil, nil, fmt.Errorf("core: CDS: negative Workers %d", c.Workers)
-	}
-	if c.BatchSize > 1 && c.Strategy != StrategyParallel {
-		return nil, nil, fmt.Errorf("core: CDS: BatchSize %d requires StrategyParallel, not %v", c.BatchSize, c.Strategy)
-	}
-
 	var sel moveSelector
-	var tables *cdsTables
-	// engine is the selector that actually runs: the configured
-	// strategy, except where StrategyIncremental resolves to the scan.
-	engine := c.Strategy
-	switch c.Strategy {
-	case StrategyNaive:
+	// engine is the selector that actually runs, which differs from
+	// the configured strategy where StrategyIncremental resolves to
+	// the scan.
+	engine := StrategyNaive
+	if tables {
+		engine = StrategyIncremental
+		t := acquireCDSTables(cur.db.Len(), len(agg))
+		defer releaseCDSTables(t)
+		sel = newIncrementalSelector(cur, agg, t)
+	} else {
 		sel = &naiveSelector{cur: cur, agg: agg}
-	case StrategyIncremental:
-		if len(agg) <= cdsScanMaxK {
-			engine = StrategyNaive
-			sel = &naiveSelector{cur: cur, agg: agg}
-			break
-		}
-		tables = acquireCDSTables(cur.db.Len(), len(agg))
-		sel = newIncrementalSelector(cur, agg, tables)
-	case StrategyParallel:
-		workers := c.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		tables = acquireCDSTables(cur.db.Len(), len(agg))
-		if c.BatchSize > 1 {
-			sel = newBatchedSelector(cur, agg, tables, workers, c.BatchSize, eps, c.forceShard)
-		} else {
-			sel = newParallelSelector(cur, agg, tables, workers, c.forceShard)
-		}
-	default:
-		return nil, nil, fmt.Errorf("core: CDS: unknown strategy %v", c.Strategy)
-	}
-	if tables != nil {
-		defer releaseCDSTables(tables)
 	}
 
 	start := timeNow()
@@ -315,20 +253,11 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 		// the full per-iteration cost of the strategy in use.
 		var mv trace.Span
 		if span.Active() {
-			if best.Batch > 0 {
-				mv = span.Child(spanCDSMove,
-					trace.Int("pos", int64(best.Pos)),
-					trace.Int("src", int64(best.From)), trace.Int("dst", int64(best.To)),
-					trace.Float("delta", best.Reduction),
-					trace.Int("batch", int64(best.Batch)),
-					stratTag)
-			} else {
-				mv = span.Child(spanCDSMove,
-					trace.Int("pos", int64(best.Pos)),
-					trace.Int("src", int64(best.From)), trace.Int("dst", int64(best.To)),
-					trace.Float("delta", best.Reduction),
-					stratTag)
-			}
+			mv = span.Child(spanCDSMove,
+				trace.Int("pos", int64(best.Pos)),
+				trace.Int("src", int64(best.From)), trace.Int("dst", int64(best.To)),
+				trace.Float("delta", best.Reduction),
+				stratTag)
 		}
 
 		cur.move(best.Pos, best.To)
@@ -366,8 +295,6 @@ func (c *CDS) refine(a *Allocation, wantTrace bool) (*Allocation, []Move, error)
 	st := sel.stats()
 	cdsScans.Add(st.scans)
 	cdsCandidatesRecomputed.Add(st.recomputed)
-	cdsParallelSweeps.Add(st.parallelSweeps)
-	cdsBatchedMoves.Add(st.batchedMoves)
 	cdsSeconds.Observe(timeNow().Sub(start).Seconds())
 	if span.Active() {
 		span.End(trace.Int("moves", int64(applied)), trace.Float("cost_after", cost))
@@ -507,14 +434,13 @@ type cdsItem struct {
 	f, z, tfz float64
 }
 
-// cdsTables is the SoA working set shared by the table-driven CDS
-// engines (incremental, parallel, batched): the hot per-item records
-// and the flat per-group shadows, split by access pattern so the
-// per-move sweeps stream exactly the bytes they read. The slices are
-// sized once per refinement and the whole struct is recycled through
-// a sync.Pool — repeated Allocate/Refine calls at production scale
-// stop paying the per-call slice allocations (~56 bytes/item +
-// ~64 bytes/group) entirely. Every element is overwritten by the
+// cdsTables is the SoA working set of the incremental selector: the
+// hot per-item records and the flat per-group shadows, split by access
+// pattern so the per-move sweeps stream exactly the bytes they read.
+// The slices are sized once per refinement and the whole struct is
+// recycled through a sync.Pool — repeated Allocate/Refine calls at
+// production scale stop paying the per-call slice allocations
+// (~56 bytes/item + ~64 bytes/group) entirely. Every element is overwritten by the
 // selector's initial build before it is read, so recycling cannot
 // leak state between refinements.
 type cdsTables struct {
@@ -536,9 +462,7 @@ type cdsTables struct {
 	delta []cdsDelta
 	// dzs/dfs are per-source-group scratch for scanTop4: the aggregate
 	// differences Z_p−Z_q and F_p−F_q toward every destination, filled
-	// once per source group and shared by every member's scan. The
-	// sharded sweeps treat them as read-only and use per-shard scratch
-	// for their own recomputes.
+	// once per source group and shared by every member's scan.
 	dzs, dfs []float64
 }
 
@@ -594,12 +518,12 @@ type incrementalSelector struct {
 	recomputed int64
 }
 
-// initTables attaches the selector to its allocation and fills every
-// table: item constants, aggregate shadows, channel shadow, and the
-// per-item candidate records (one delta fill per group shared by its
-// members). Shared by all three table-driven engines.
-func (s *incrementalSelector) initTables(cur *Allocation, agg []GroupAgg) {
-	s.cur, s.agg = cur, agg
+// newIncrementalSelector attaches a selector to its allocation and
+// fills every table: item constants, aggregate shadows, channel
+// shadow, and the per-item candidate records (one delta fill per group
+// shared by its members). It then sweeps for the initial champion.
+func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables) *incrementalSelector {
+	s := &incrementalSelector{cdsTables: t, cur: cur, agg: agg}
 	for i, it := range cur.db.items {
 		s.fzt[i] = cdsItem{f: it.Freq, z: it.Size, tfz: 2 * it.Freq * it.Size}
 	}
@@ -615,11 +539,6 @@ func (s *incrementalSelector) initTables(cur *Allocation, agg []GroupAgg) {
 			s.scanTop4(pos)
 		}
 	}
-}
-
-func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables) *incrementalSelector {
-	s := &incrementalSelector{cdsTables: t}
-	s.initTables(cur, agg)
 	// Initial champion sweep; applied keeps it current afterwards.
 	champ := Move{Reduction: 0}
 	found := false
@@ -642,7 +561,7 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables) *incr
 	return s
 }
 
-// fillDeltasInto loads scratch slices with the aggregate differences
+// fillDeltas loads the scratch slices with the aggregate differences
 // from source group p toward every destination q: dzs[q] = Z_p−Z_q,
 // dfs[q] = F_p−F_q — the exact subexpressions of MoveReduction,
 // hoisted so that every member of group p shares one fill. Slot p
@@ -650,19 +569,15 @@ func newIncrementalSelector(cur *Allocation, agg []GroupAgg, t *cdsTables) *incr
 // frequencies are validated strictly positive and finite) and q == p
 // is excluded branchlessly, exactly as a +Inf aggregate would exclude
 // it.
-func fillDeltasInto(p int, aggZs, aggFs, dzs, dfs []float64) {
-	dfs = dfs[:len(dzs)] // bounds-check elimination
+func (s *incrementalSelector) fillDeltas(p int) {
+	aggZs, dzs := s.aggZ, s.dzs
+	aggFs, dfs := s.aggF, s.dfs[:len(dzs)] // bounds-check elimination
 	apZ, apF := aggZs[p], aggFs[p]
 	for q := range aggZs {
 		dzs[q] = apZ - aggZs[q]
 		dfs[q] = apF - aggFs[q]
 	}
 	dzs[p], dfs[p] = math.Inf(-1), 0
-}
-
-// fillDeltas is fillDeltasInto targeting the selector-wide scratch.
-func (s *incrementalSelector) fillDeltas(p int) {
-	fillDeltasInto(p, s.aggZ, s.aggF, s.dzs, s.dfs)
 }
 
 // recompute rebuilds the top-4 of the item at pos over all K−1
@@ -674,24 +589,14 @@ func (s *incrementalSelector) recompute(pos int) {
 
 // scanTop4 rebuilds the top-4 of the item at pos from the deltas
 // fillDeltas prepared for the item's current group, counting one
-// recompute.
-func (s *incrementalSelector) scanTop4(pos int) {
-	s.scanTop4Into(pos, s.dzs, s.dfs)
-	s.recomputed++
-}
-
-// scanTop4Into rebuilds the top-4 of the item at pos from the deltas
-// a fillDeltasInto call prepared for the item's current group in
-// dzs/dfs. The scan visits destinations ascending with strict
+// recompute. The scan visits destinations ascending with strict
 // comparisons only — an equal Δc never displaces an earlier (smaller)
-// destination — which is exactly the ≻-top-4. It writes only the
-// item's own table slots and reads the scratch, so the sharded sweeps
-// may call it concurrently for distinct positions over shared
-// read-only scratch (or per-shard scratch when they refill it).
-func (s *incrementalSelector) scanTop4Into(pos int, dzs, dfs []float64) {
+// destination — which is exactly the ≻-top-4.
+func (s *incrementalSelector) scanTop4(pos int) {
 	it := s.fzt[pos]
 	f, z, tfz := it.f, it.z, it.tfz
-	dfs = dfs[:len(dzs)] // bounds-check elimination in the scan below
+	dzs := s.dzs
+	dfs := s.dfs[:len(dzs)] // bounds-check elimination in the scan below
 	negInf := math.Inf(-1)
 	d0, d1, d2, d3 := int32(-1), int32(-1), int32(-1), int32(-1)
 	v0, v1, v2, v3 := negInf, negInf, negInf, negInf
@@ -724,18 +629,18 @@ func (s *incrementalSelector) scanTop4Into(pos int, dzs, dfs []float64) {
 	}
 	s.hot[pos] = cdsHot{bdc: v3, e0dc: v0, d0: d0, d1: d1, d2: d2, bdest: d3}
 	s.e1dc[pos], s.e2dc[pos] = v1, v2
+	s.recomputed++
 }
 
-// scanTop4Direct is scanTop4Into with the delta fill fused into the
+// scanTop4Direct is scanTop4 with the delta fill fused into the
 // scan: for a one-off rebuild of a single item there is no second
 // member to share the scratch with, so staging K deltas through memory
 // only costs bandwidth. Each destination's Δc is computed from the
-// aggregate shadows inline — the same subtractions fillDeltasInto
+// aggregate shadows inline — the same subtractions fillDeltas
 // performs, feeding the same fused expression, so the bits match
-// scanTop4Into exactly. The source group p is skipped by branch rather
+// scanTop4 exactly. The source group p is skipped by branch rather
 // than by the (−Inf, 0) poke; a −Inf Δc never enters the strict-compare
-// cascade, so the result is identical. Reads only the shadows and
-// writes only the item's own slots: safe from sharded sweeps.
+// cascade, so the result is identical.
 func (s *incrementalSelector) scanTop4Direct(pos, p int) {
 	it := s.fzt[pos]
 	f, z, tfz := it.f, it.z, it.tfz

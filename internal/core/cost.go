@@ -79,12 +79,11 @@ func CycleLength(a *Allocation, c int, b float64) float64 {
 // A positive value means the move lowers the total cost.
 //
 // Because Δc depends only on the item's constants and the two touched
-// groups' aggregates, moves whose {source, destination} group pairs
-// are pairwise disjoint commute: applying one cannot change another's
-// Δc — not even its float bits — and any application order reaches
-// the same aggregates. The batched CDS mode (CDS.BatchSize) rests on
-// exactly this property; the batch-replay tests verify it move by
-// move.
+// groups' aggregates, applying a move D_p → D_q leaves the Δc of every
+// move that touches neither p nor q unchanged, to the float bit. The
+// incremental CDS selector's candidate tables rest on exactly this
+// property: after a move they re-evaluate only the Δc values toward or
+// out of the two touched groups.
 func MoveReduction(it Item, from, to GroupAgg) float64 {
 	return it.Freq*(from.Z-to.Z) + it.Size*(from.F-to.F) - 2*it.Freq*it.Size
 }

@@ -66,44 +66,4 @@ func TestHotPathContractsAllocFree(t *testing.T) {
 		})
 		alloctest.MustZeroAllocs(t, "incrementalSelector.applied", 2, pingPong(cur, agg, sel))
 	})
-
-	t.Run("batchedSelector.next", func(t *testing.T) {
-		cur := base.Clone()
-		agg := cur.Aggregates()
-		tables := acquireCDSTables(cur.db.Len(), len(agg))
-		defer releaseCDSTables(tables)
-		sel := newBatchedSelector(cur, agg, tables, 1, 4, 1e-12, false)
-		// Repeated next() calls alternate between draining the pending
-		// batch and assembling a fresh one from the per-group
-		// champions, so both shapes — the pop and the sort-and-filter
-		// assembly — are inside the measurement window.
-		alloctest.MustZeroAllocs(t, "batchedSelector.next", 8, func() {
-			sel.next()
-		})
-	})
-
-	t.Run("batchedSelector.applied", func(t *testing.T) {
-		cur := base.Clone()
-		agg := cur.Aggregates()
-		tables := acquireCDSTables(cur.db.Len(), len(agg))
-		defer releaseCDSTables(tables)
-		sel := newBatchedSelector(cur, agg, tables, 1, 4, 1e-12, false)
-		// With no pending batch in flight, every applied call runs the
-		// full end-of-batch repair — the most allocation-prone path
-		// the batched engine has.
-		alloctest.MustZeroAllocs(t, "batchedSelector.applied+repair", 2, pingPong(cur, agg, sel))
-	})
-
-	t.Run("parallelSelector", func(t *testing.T) {
-		cur := base.Clone()
-		agg := cur.Aggregates()
-		tables := acquireCDSTables(cur.db.Len(), len(agg))
-		defer releaseCDSTables(tables)
-		// workers=1 pins the serial delegation path: the zero-alloc
-		// contract covers it, while the sharded path's W spawns and
-		// closure headers are the audited suppressions in
-		// cds_parallel.go.
-		sel := newParallelSelector(cur, agg, tables, 1, false)
-		alloctest.MustZeroAllocs(t, "parallelSelector.applied", 2, pingPong(cur, agg, sel))
-	})
 }

@@ -21,11 +21,7 @@ var (
 	cdsScans = obs.Default().Counter("core_cds_scans_total",
 		"CDS move-selection sweeps (one per iteration, both strategies)")
 	cdsCandidatesRecomputed = obs.Default().Counter("core_cds_candidates_recomputed_total",
-		"full per-item candidate recomputations by the incremental CDS strategy")
-	cdsParallelSweeps = obs.Default().Counter("core_cds_parallel_sweeps_total",
-		"candidate sweeps sharded across the parallel CDS worker pool")
-	cdsBatchedMoves = obs.Default().Counter("core_cds_batched_moves_total",
-		"moves applied by the batched CDS mode (non-conflicting moves per sweep)")
+		"full per-item candidate recomputations by the CDS candidate tables (the default engine above 12 channels)")
 )
 
 // timeNow is stubbed in tests.

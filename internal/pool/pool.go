@@ -1,7 +1,6 @@
 // Package pool provides the bounded by-index worker pool behind every
 // deterministic parallel fabric in this repository: genetic fitness
-// evaluation, experiment sweep cells, and the sharded CDS candidate
-// sweeps. The contract that makes parallelism safe to put under
+// evaluation and experiment sweep cells. The contract that makes parallelism safe to put under
 // bit-exact algorithms is the same everywhere:
 //
 //   - work is identified by index, handed out through an atomic
